@@ -407,13 +407,10 @@ Result<query::QueryResponse> DataTamer::ExecuteInternal(
       break;
     }
     case query::QueryOp::kExplain: {
-      storage::CollectionView view = coll->GetView();
-      resp.explain = query::ExplainFind(view, req.predicate, opts);
-      // The second planning pass only reifies the structured form; it
-      // must not double-count into the planning stats.
-      query::FindOptions no_stats = opts;
-      no_stats.stats = nullptr;
-      resp.plan = query::PlanFind(view, req.predicate, no_stats).ToDocValue();
+      query::QueryPlan plan;
+      resp.explain =
+          query::ExplainFind(coll->GetView(), req.predicate, opts, &plan);
+      resp.plan = plan.ToDocValue();
       break;
     }
     case query::QueryOp::kCount:

@@ -444,20 +444,30 @@ double EstimatePredicateRows(const CollectionView& coll,
   return n;
 }
 
-}  // namespace
+/// The rows one execution must produce before it may stop: the
+/// `limit`, or — for a paged request without one — a page plus
+/// FindPage's probe for the next. -1 when nothing bounds it. A resumed
+/// page plans with the bound its stream's first page sealed into the
+/// token instead, so a client may change `page_size` mid-stream.
+int64_t WalkBound(const FindOptions& opts) {
+  if (opts.limit >= 0) return opts.limit;
+  if (opts.page_size > 0) return opts.page_size + 1;
+  return -1;
+}
 
-QueryPlan PlanFind(const CollectionView& coll, const PredicatePtr& pred,
-                   const FindOptions& opts) {
+/// PlanFind with the order-walk switches costed by `walk_bound` rows.
+QueryPlan PlanBounded(const CollectionView& coll, const PredicatePtr& pred,
+                      const FindOptions& opts, int64_t walk_bound) {
   const auto t0 = std::chrono::steady_clock::now();
   const std::vector<std::string> order_paths = SplitOrderPaths(opts.order_by);
   int64_t entries_counted = 0;
   QueryPlan plan = PlanAccess(coll, pred, opts, order_paths, &entries_counted);
   // Sort push-down fallback for the match-everything case: an index
-  // leads with the order paths and a limit bounds the walk, so stream
-  // off the index order and stop after ~limit entries instead of
-  // scanning, materializing and sorting everything.
+  // leads with the order paths and a limit (or page) bounds the walk,
+  // so stream off the index order and stop after ~walk_bound entries
+  // instead of scanning, materializing and sorting everything.
   if (plan.access == AccessPath::kCollScan && opts.use_indexes &&
-      TriviallyTrue(pred) && !order_paths.empty() && opts.limit >= 0) {
+      TriviallyTrue(pred) && !order_paths.empty() && walk_bound >= 0) {
     const SecondaryIndex* order_idx = OrderWalkIndex(coll, order_paths);
     if (order_idx != nullptr) {
       QueryPlan scan;
@@ -471,18 +481,18 @@ QueryPlan PlanFind(const CollectionView& coll, const PredicatePtr& pred,
   }
   // Filtered order-walk: when no chosen path streams the requested
   // order but an index leads with it, walking that index in order and
-  // filtering — stopping once the limit fills — beats materializing
-  // and sorting, provided the predicate passes rows often enough that
-  // the walk stays short. The statistics make that call: expected walk
-  // length is limit / selectivity, and the switch demands a 2x cost
-  // advantage as a margin against estimation error (PR 4 punted this
-  // decision precisely because exact counting made it O(hits)).
+  // filtering — stopping once the limit (or the page) fills — beats
+  // materializing and sorting, provided the predicate passes rows often
+  // enough that the walk stays short. The statistics make that call:
+  // expected walk length is walk_bound / selectivity, and the switch
+  // demands a 2x cost advantage as a margin against estimation error
+  // (exact counting would make this decision itself O(hits)).
   // `debug_exact_count_planning` disables the switch along with the
   // estimates: the knob reproduces the whole pre-statistics planner,
   // not just its counting.
   if (!plan.order_covered && plan.access != AccessPath::kTextIndex &&
       opts.use_indexes && !opts.debug_exact_count_planning &&
-      !order_paths.empty() && opts.limit >= 0 && pred != nullptr &&
+      !order_paths.empty() && walk_bound >= 0 && pred != nullptr &&
       !TriviallyTrue(pred) && coll.count() > 0) {
     const SecondaryIndex* order_idx = OrderWalkIndex(coll, order_paths);
     if (order_idx != nullptr) {
@@ -508,7 +518,7 @@ QueryPlan PlanFind(const CollectionView& coll, const PredicatePtr& pred,
       pred_rows = std::min(std::max(pred_rows, 0.0), n);
       const double sel = std::max(pred_rows / n, 1e-9);
       const double walk_entries =
-          std::min(n, static_cast<double>(opts.limit) / sel);
+          std::min(n, static_cast<double>(walk_bound) / sel);
       // Every walked entry fetches + re-checks its document; the
       // incumbent pays a fetch per estimated row (plus an entry step
       // when index-driven) and sorts, which the TOPK heap keeps cheap
@@ -549,6 +559,13 @@ QueryPlan PlanFind(const CollectionView& coll, const PredicatePtr& pred,
     opts.stats->estimate_exact = plan.est_exact ? 1 : 0;
   }
   return plan;
+}
+
+}  // namespace
+
+QueryPlan PlanFind(const CollectionView& coll, const PredicatePtr& pred,
+                   const FindOptions& opts) {
+  return PlanBounded(coll, pred, opts, WalkBound(opts));
 }
 
 QueryPlan PlanFind(const Collection& coll, const PredicatePtr& pred,
@@ -941,17 +958,21 @@ Result<CursorPtr> BuildCursor(const CollectionView& coll,
 
 /// The resume-safety fingerprint: the collection identity plus the
 /// canonical plan rendering (access path, index bounds, order, limit,
-/// estimates) plus the predicate tree. Identical state re-plans to an
-/// identical fingerprint; any drift in what the token's position means
-/// — including handing a token minted on one collection to another
-/// whose epoch coincidentally matches — rejects the token.
+/// estimates) plus the predicate tree plus the walk bound the plan was
+/// costed with. Identical state re-plans to an identical fingerprint;
+/// any drift in what the token's position means — including handing a
+/// token minted on one collection to another whose epoch coincidentally
+/// matches, or a token whose sealed walk bound was rewritten — rejects
+/// the token.
 uint64_t PlanFingerprint(const CollectionView& coll, const QueryPlan& plan,
-                         const PredicatePtr& pred) {
+                         const PredicatePtr& pred, int64_t walk_bound) {
   std::string s = coll.ns();
   s += '\x1f';
   s += plan.ToString();
   s += '\x1f';
   s += pred != nullptr ? pred->ToString() : "";
+  s += '\x1f';
+  s += std::to_string(walk_bound);
   return Fnv1a64(s);
 }
 
@@ -966,15 +987,18 @@ void NoteScan(const CollectionView& coll, const QueryPlan& plan) {
 /// The shared plan-validate-open core of FindPage/FindFold: resolves
 /// the execution view (the caller's view, or — on resume — the exact
 /// retained version the token was minted against), plans `pred`
-/// against it, validates the token (incarnation, version reachability,
-/// plan fingerprint) and returns the root cursor positioned
-/// accordingly. Resets `opts.stats`, copies the plan to `*plan_out`,
-/// the fingerprint to `*fingerprint_out` and the execution view to
-/// `*exec_view_out` (so the caller mints tokens against the version
-/// that actually executed).
+/// against it (on resume, with the walk bound the token sealed rather
+/// than the current page size), validates the token (incarnation,
+/// version reachability, plan fingerprint) and returns the root cursor
+/// positioned accordingly. Resets `opts.stats`, copies the plan to
+/// `*plan_out`, the fingerprint to `*fingerprint_out`, the walk bound
+/// to `*walk_bound_out` and the execution view to `*exec_view_out` (so
+/// the caller mints tokens against the version and plan that actually
+/// executed).
 Result<CursorPtr> OpenFind(const CollectionView& view,
                            const PredicatePtr& pred, const FindOptions& opts,
                            QueryPlan* plan_out, uint64_t* fingerprint_out,
+                           int64_t* walk_bound_out,
                            CollectionView* exec_view_out) {
   if (pred == nullptr) {
     return Status::InvalidArgument("Find requires a predicate");
@@ -984,8 +1008,10 @@ Result<CursorPtr> OpenFind(const CollectionView& view,
   DocValue ckpt;
   if (!opts.resume_token.empty()) {
     uint64_t token_fp, token_inc, token_vid;
+    int64_t token_bound;
     DT_RETURN_NOT_OK(DecodePageToken(opts.resume_token, &token_fp,
-                                     &token_inc, &token_vid, &ckpt));
+                                     &token_inc, &token_vid, &token_bound,
+                                     &ckpt));
     if (token_inc != view.incarnation()) {
       return Status::InvalidArgument(
           "stale resume token: it was issued against a different "
@@ -996,8 +1022,8 @@ Result<CursorPtr> OpenFind(const CollectionView& view,
     // the caller's current version, or an older one the collection
     // retained when the token was issued. Reclaimed versions reject.
     DT_ASSIGN_OR_RETURN(exec_view, view.At(token_vid));
-    QueryPlan plan = PlanFind(exec_view, pred, opts);
-    if (token_fp != PlanFingerprint(exec_view, plan, pred)) {
+    QueryPlan plan = PlanBounded(exec_view, pred, opts, token_bound);
+    if (token_fp != PlanFingerprint(exec_view, plan, pred, token_bound)) {
       return Status::InvalidArgument(
           "resume token does not match this query's plan");
     }
@@ -1005,15 +1031,19 @@ Result<CursorPtr> OpenFind(const CollectionView& view,
                                                     opts.stats, &ckpt));
     *plan_out = std::move(plan);
     *fingerprint_out = token_fp;
+    *walk_bound_out = token_bound;
     *exec_view_out = std::move(exec_view);
     return root;
   }
-  QueryPlan plan = PlanFind(exec_view, pred, opts);
-  const uint64_t fingerprint = PlanFingerprint(exec_view, plan, pred);
+  const int64_t walk_bound = WalkBound(opts);
+  QueryPlan plan = PlanBounded(exec_view, pred, opts, walk_bound);
+  const uint64_t fingerprint =
+      PlanFingerprint(exec_view, plan, pred, walk_bound);
   DT_ASSIGN_OR_RETURN(CursorPtr root, BuildCursor(exec_view, plan, opts,
                                                   opts.stats, nullptr));
   *plan_out = std::move(plan);
   *fingerprint_out = fingerprint;
+  *walk_bound_out = walk_bound;
   *exec_view_out = std::move(exec_view);
   return root;
 }
@@ -1029,10 +1059,11 @@ Result<FindResult> FindPage(const CollectionView& view,
   }
   QueryPlan plan;
   uint64_t fingerprint;
+  int64_t walk_bound;
   CollectionView exec_view = view;
-  DT_ASSIGN_OR_RETURN(
-      CursorPtr root,
-      OpenFind(view, pred, opts, &plan, &fingerprint, &exec_view));
+  DT_ASSIGN_OR_RETURN(CursorPtr root,
+                      OpenFind(view, pred, opts, &plan, &fingerprint,
+                               &walk_bound, &exec_view));
   FindResult out;
   if (opts.page_size < 0) {
     DT_RETURN_NOT_OK(DrainCursor(root.get(), opts.stats, &out.ids));
@@ -1058,7 +1089,7 @@ Result<FindResult> FindPage(const CollectionView& view,
         exec_view.RetainForResume();
         out.next_token =
             EncodePageToken(fingerprint, exec_view.incarnation(),
-                            exec_view.version_id(), position);
+                            exec_view.version_id(), walk_bound, position);
       }
     }
     if (opts.stats != nullptr) {
@@ -1095,10 +1126,11 @@ Status FindFold(const CollectionView& view, const PredicatePtr& pred,
   fold_opts.resume_token.clear();
   QueryPlan plan;
   uint64_t fingerprint;
+  int64_t walk_bound;
   CollectionView exec_view = view;
-  DT_ASSIGN_OR_RETURN(
-      CursorPtr root,
-      OpenFind(view, pred, fold_opts, &plan, &fingerprint, &exec_view));
+  DT_ASSIGN_OR_RETURN(CursorPtr root,
+                      OpenFind(view, pred, fold_opts, &plan, &fingerprint,
+                               &walk_bound, &exec_view));
   DocId id;
   int64_t returned = 0;
   while (root->Next(&id)) {
@@ -1295,38 +1327,49 @@ std::string RenderPlan(const DocValue& plan) {
 }
 
 std::string ExplainFind(const CollectionView& view, const PredicatePtr& pred,
-                        const FindOptions& opts) {
-  QueryPlan plan = PlanFind(view, pred, opts);
-  std::string out = plan.ToString();
+                        const FindOptions& opts, QueryPlan* plan_out) {
+  // With a token, render where the resumed execution would restart —
+  // or why the token would be rejected.
+  std::string resume;
+  QueryPlan plan;
+  bool resumes = false;
   if (!opts.resume_token.empty()) {
-    // Render where the resumed execution would restart — or why the
-    // token would be rejected.
     uint64_t token_fp = 0, token_inc = 0, token_vid = 0;
+    int64_t token_bound = -1;
     DocValue ckpt;
     if (!DecodePageToken(opts.resume_token, &token_fp, &token_inc,
-                         &token_vid, &ckpt)
+                         &token_vid, &token_bound, &ckpt)
              .ok()) {
-      out += " resume=INVALID";
+      resume = " resume=INVALID";
     } else if (token_inc != view.incarnation()) {
-      out += " resume=STALE(incarnation mismatch)";
+      resume = " resume=STALE(incarnation mismatch)";
     } else {
       Result<CollectionView> resolved = view.At(token_vid);
       if (!resolved.ok()) {
-        out += " resume=STALE(version " + std::to_string(token_vid) +
-               " reclaimed)";
+        resume = " resume=STALE(version " + std::to_string(token_vid) +
+                 " reclaimed)";
       } else {
         const CollectionView& exec_view = *resolved;
-        QueryPlan exec_plan = PlanFind(exec_view, pred, opts);
-        if (token_fp != PlanFingerprint(exec_view, exec_plan, pred)) {
-          out += " resume=PLAN_MISMATCH";
-        } else if (exec_view.version_id() != view.version_id()) {
-          out += " resume=RETAINED " + ckpt.ToJson();
+        QueryPlan exec_plan = PlanBounded(exec_view, pred, opts, token_bound);
+        if (token_fp !=
+            PlanFingerprint(exec_view, exec_plan, pred, token_bound)) {
+          resume = " resume=PLAN_MISMATCH";
         } else {
-          out += " resume=" + ckpt.ToJson();
+          // The resumed page runs the plan its token sealed, which a
+          // changed page size can make differ from a fresh one.
+          plan = std::move(exec_plan);
+          resumes = true;
+          resume = exec_view.version_id() != view.version_id()
+                       ? " resume=RETAINED "
+                       : " resume=";
+          resume += ckpt.ToJson();
         }
       }
     }
   }
+  if (!resumes) plan = PlanFind(view, pred, opts);
+  std::string out = plan.ToString() + resume;
+  if (plan_out != nullptr) *plan_out = std::move(plan);
   return out;
 }
 

@@ -221,7 +221,14 @@ struct FindResult {
 /// against the exact same data — stitching pages yields byte-identical
 /// output to the one-shot call even under concurrent writers, and
 /// resuming an order-covering indexed query examines O(page_size)
-/// index entries — not O(consumed offset). A token whose version has
+/// index entries — not O(consumed offset). Without a `limit`, the
+/// planner costs its order-index walks by the rows one page must
+/// produce (`page_size + 1`: the page plus the probe for a next one),
+/// so a selective-enough filtered ordered request walks the order
+/// index and reads ~(page_size + 1) / selectivity docs per page rather
+/// than re-sorting the whole match set. The first page seals that
+/// bound into the token and resumed pages re-plan with it, so the
+/// page size may change mid-stream. A token whose version has
 /// since been reclaimed (the collection retains a bounded window of
 /// versions) is rejected with `kInvalidArgument` whose message
 /// contains "stale". Every page bumps the collection's index-scan /
@@ -271,14 +278,18 @@ Status FindFold(const storage::Collection& coll, const PredicatePtr& pred,
 
 /// The plan `Find` would run, rendered for humans (the shape of the
 /// mongo shell's `explain()` next to the paper's `stats()` calls).
-/// With a resume token set, appends where the resumed execution would
-/// restart: `resume=<checkpoint json>` against the current version,
+/// With a resume token that resumes, renders the plan the resumed page
+/// runs (planned on the token's version with its sealed walk bound)
+/// and appends where it would restart: `resume=<checkpoint json>`
+/// against the current version,
 /// `resume=RETAINED <checkpoint json>` against a retained older
 /// version, or why the token would be rejected (`resume=INVALID`,
-/// `resume=STALE(...)`, `resume=PLAN_MISMATCH`).
+/// `resume=STALE(...)`, `resume=PLAN_MISMATCH`). `plan_out` (may be
+/// null) receives the rendered plan.
 std::string ExplainFind(const storage::CollectionView& view,
                         const PredicatePtr& pred,
-                        const FindOptions& opts = {});
+                        const FindOptions& opts = {},
+                        QueryPlan* plan_out = nullptr);
 
 /// Convenience overload rendering against the currently published
 /// version (`coll.GetView()`).

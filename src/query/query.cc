@@ -42,13 +42,18 @@ using GroupCounts = std::unordered_map<std::string, int64_t>;
 /// reservation comes from the index's distinct-count sketch. Distinct
 /// index keys can render to the same string (Str("true") vs
 /// Bool(true)), so rows merge adjacent-after-sort before returning.
+/// The visit walks every entry; `stats` (may be null) counts them.
 std::vector<CountRow> IndexGroupRows(const storage::CollectionView& view,
-                                     const storage::SecondaryIndex& idx) {
+                                     const storage::SecondaryIndex& idx,
+                                     ExecStats* stats) {
   std::vector<CountRow> rows;
   rows.reserve(static_cast<size_t>(idx.stats().EstimateDistinct(0)));
+  int64_t walked = 0;
   idx.VisitKeyCounts([&](const IndexKey& k, int64_t n) {
+    walked += n;
     if (!k.is_null()) rows.push_back({k.ToString(), n});
   });
+  if (stats != nullptr) stats->index_entries_examined += walked;
   std::sort(rows.begin(), rows.end(),
             [](const CountRow& a, const CountRow& b) { return a.key < b.key; });
   size_t w = 0;
@@ -156,7 +161,7 @@ std::vector<CountRow> CountByField(const storage::Collection& coll,
   // even with writers publishing new versions mid-aggregation.
   storage::CollectionView view = coll.GetView();
   if (const storage::SecondaryIndex* idx = AggIndex(view, path, pred, opts)) {
-    std::vector<CountRow> rows = IndexGroupRows(view, *idx);
+    std::vector<CountRow> rows = IndexGroupRows(view, *idx, opts.stats);
     std::sort(rows.begin(), rows.end(), BetterRow);
     return rows;
   }
@@ -181,7 +186,9 @@ std::vector<CountRow> TopKByCount(const storage::Collection& coll,
   if (const storage::SecondaryIndex* idx = AggIndex(view, path, pred, opts)) {
     BoundedTopK<CountRow, bool (*)(const CountRow&, const CountRow&)> top(
         k, BetterRow);
-    for (CountRow& row : IndexGroupRows(view, *idx)) top.Offer(std::move(row));
+    for (CountRow& row : IndexGroupRows(view, *idx, opts.stats)) {
+      top.Offer(std::move(row));
+    }
     return top.TakeSorted();
   }
   return TopKGroups(CountGroups(view, path, pred, opts), k);

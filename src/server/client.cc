@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -44,6 +45,10 @@ Result<std::unique_ptr<DtClient>> DtClient::Connect(const std::string& host,
     close(fd);
     return st;
   }
+  // Each request is one whole frame: send it now rather than wait for
+  // the ACK of the previous one (Nagle), which stalls pipelined sends.
+  const int one = 1;
+  setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
   return std::unique_ptr<DtClient>(new DtClient(fd, opts));
 }
 

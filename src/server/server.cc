@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -332,6 +333,11 @@ struct DtServer::Impl {
         close(fd);
         continue;
       }
+      // Responses are whole frames flushed as soon as they are encoded:
+      // Nagle would hold the second of two pipelined responses until
+      // the client's delayed ACK for the first.
+      const int one = 1;
+      setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
       auto s = std::make_shared<Session>(fd);
       s->last_active_ms = NowMs();
       sessions.emplace(fd, std::move(s));

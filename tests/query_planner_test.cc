@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "common/rng.h"
 #include "datagen/webtext_gen.h"
 #include "fusion/data_tamer.h"
+#include "query/page_token.h"
 #include "query/planner.h"
 #include "query/predicate.h"
 #include "query/query.h"
@@ -559,6 +561,24 @@ TEST(CountAggregationTest, IndexOnlyCountMatchesScanCount) {
   ASSERT_EQ(via_index.size(), 3u);
   EXPECT_EQ(via_index[0].key, "Wicked");
   EXPECT_EQ(via_index[0].count, 25);
+}
+
+TEST(CountAggregationTest, IndexOnlyCountReportsTheEntriesItWalks) {
+  Collection coll = MakeEntities();
+  ASSERT_TRUE(coll.CreateIndex("name").ok());
+  const storage::CollectionView view = coll.GetView();
+  const int64_t entries = view.IndexOn("name")->entry_count();
+  ASSERT_GT(entries, 0);
+  ExecStats stats;
+  FindOptions opts;
+  opts.stats = &stats;
+  CountByField(coll, "name", PredicatePtr(), opts);
+  EXPECT_EQ(stats.index_entries_examined, entries);
+  EXPECT_EQ(stats.docs_examined, 0);
+  ExecStats topk_stats;
+  opts.stats = &topk_stats;
+  TopKByCount(coll, "name", 2, PredicatePtr(), opts);
+  EXPECT_EQ(topk_stats.index_entries_examined, entries);
 }
 
 TEST(CountAggregationTest, PredicateRestrictsGroups) {
@@ -1208,6 +1228,158 @@ TEST(PaginationTest, TokenForADifferentQueryIsRejected) {
   EXPECT_TRUE(FindPage(coll, movie, other).status().IsInvalidArgument());
   // The matching query still resumes.
   EXPECT_TRUE(FindPage(coll, movie, opts).ok());
+}
+
+/// `n` docs with unique names inserted in a scrambled order (so id
+/// order is not name order), indexed on `cat` and on `name`. Every
+/// doc's `cat` is "hit" or "miss", with the hits spread evenly over
+/// name order at `selectivity`: any run of k consecutive names holds
+/// at least floor(k * selectivity) hits.
+Collection MakeSpreadCorpus(int n, double selectivity) {
+  Collection coll("dt.spread");
+  for (int i = 0; i < n; ++i) {
+    const int rank = static_cast<int>((static_cast<int64_t>(i) * 619) % n);
+    char name[16];
+    std::snprintf(name, sizeof(name), "n%05d", rank);
+    const bool hit = std::floor((rank + 1) * selectivity) >
+                     std::floor(rank * selectivity);
+    coll.Insert(
+        DocBuilder().Set("cat", hit ? "hit" : "miss").Set("name", name).Build());
+  }
+  (void)coll.CreateIndex("cat");
+  (void)coll.CreateIndex("name");
+  return coll;
+}
+
+TEST(PaginationTest, PagedOrderWalkReadsAPageNotTheMatchSet) {
+  // Paged requests carry no limit, yet a page only has to produce
+  // page_size + 1 rows (the page plus the probe). Whichever plan the
+  // planner picks, a resumed page must read at most
+  // c * (page_size + 1) / selectivity docs: a walk of the order index
+  // does, and a SORT re-reading the whole match set only wins where
+  // the match set is that small anyway.
+  constexpr int kDocs = 1000;
+  constexpr double kC = 4.0;
+  Rng rng(1313);
+  int walked_streams = 0;
+  for (int trial = 0; trial < 14; ++trial) {
+    const double target = trial == 0 ? 0.01 : trial == 1 ? 0.9
+                                            : rng.UniformDouble(0.01, 0.9);
+    Collection coll = MakeSpreadCorpus(kDocs, target);
+    auto pred = Predicate::Eq("cat", DocValue::Str("hit"));
+    const double sel =
+        static_cast<double>(OracleOrdered(coll, pred, "", false, -1).size()) /
+        kDocs;
+    ASSERT_GT(sel, 0.0);
+    for (bool desc : {false, true}) {
+      const std::vector<DocId> expected =
+          OracleOrdered(coll, pred, "name", desc, -1);
+      for (int64_t page_size : {1, 7, 100}) {
+        ExecStats stats;
+        FindOptions opts;
+        opts.order_by = "name";
+        opts.order_desc = desc;
+        opts.page_size = page_size;
+        opts.stats = &stats;
+        const std::string plan = ExplainFind(coll, pred, opts);
+        if (plan.find("SORT") == std::string::npos) ++walked_streams;
+        const double max_docs = kC * static_cast<double>(page_size + 1) / sel;
+        std::vector<DocId> stitched;
+        for (int pages = 0;; ++pages) {
+          ASSERT_LT(pages, 2 * kDocs) << "pagination failed to terminate";
+          auto page = FindPage(coll, pred, opts);
+          ASSERT_TRUE(page.ok()) << page.status().ToString();
+          if (pages > 0) {
+            ASSERT_LE(static_cast<double>(stats.docs_examined), max_docs)
+                << "sel=" << sel << " desc=" << desc
+                << " page_size=" << page_size << " page=" << pages
+                << "\nplan: " << plan;
+          }
+          stitched.insert(stitched.end(), page->ids.begin(), page->ids.end());
+          if (page->next_token.empty()) break;
+          opts.resume_token = page->next_token;
+        }
+        ASSERT_EQ(stitched, expected)
+            << "sel=" << sel << " desc=" << desc
+            << " page_size=" << page_size << "\nplan: " << plan;
+      }
+    }
+  }
+  // The bound is only worth something if some streams walked.
+  EXPECT_GT(walked_streams, 0);
+}
+
+TEST(PaginationTest, ResumedPagePlansWithTheSealedWalkBound) {
+  Collection coll = MakeSpreadCorpus(2000, 0.3);
+  auto pred = Predicate::Eq("cat", DocValue::Str("hit"));
+  FindOptions opts;
+  opts.order_by = "name";
+  opts.page_size = 5;
+  // Six rows per page walk ~20 entries: stream off the name index.
+  const std::string walk_plan = ExplainFind(coll, pred, opts);
+  EXPECT_EQ(walk_plan.find("SORT"), std::string::npos) << walk_plan;
+  EXPECT_NE(walk_plan.find("IXSCAN(name)"), std::string::npos) << walk_plan;
+  FindOptions big = opts;
+  big.page_size = 500;
+  // 501 rows would walk most of the index: a fresh stream sorts.
+  EXPECT_NE(ExplainFind(coll, pred, big).find("SORT(name)"),
+            std::string::npos);
+
+  auto first = FindPage(coll, pred, opts);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_FALSE(first->next_token.empty());
+  // The next page asks for a size that alone would plan SORT; it
+  // re-plans with the sealed bound and continues the walk.
+  big.resume_token = first->next_token;
+  QueryPlan structured;
+  const std::string resumed_plan =
+      ExplainFind(coll.GetView(), pred, big, &structured);
+  EXPECT_EQ(resumed_plan.find("PLAN_MISMATCH"), std::string::npos);
+  // The structured plan a remote Explain ships is the one rendered.
+  EXPECT_EQ(resumed_plan.rfind(structured.ToString(), 0), 0u)
+      << resumed_plan;
+  EXPECT_EQ(resumed_plan.find("SORT"), std::string::npos) << resumed_plan;
+  EXPECT_NE(resumed_plan.find("IXSCAN(name)"), std::string::npos)
+      << resumed_plan;
+  std::vector<DocId> stitched = first->ids;
+  for (;;) {
+    auto page = FindPage(coll, pred, big);
+    ASSERT_TRUE(page.ok()) << page.status().ToString();
+    stitched.insert(stitched.end(), page->ids.begin(), page->ids.end());
+    if (page->next_token.empty()) break;
+    big.resume_token = page->next_token;
+  }
+  EXPECT_EQ(stitched, OracleOrdered(coll, pred, "name", false, -1));
+}
+
+TEST(PaginationTest, TokenWithRewrittenWalkBoundIsRejected) {
+  Collection coll = MakeSpreadCorpus(2000, 0.3);
+  auto pred = Predicate::Eq("cat", DocValue::Str("hit"));
+  FindOptions opts;
+  opts.order_by = "name";
+  opts.page_size = 5;
+  auto page = FindPage(coll, pred, opts);
+  ASSERT_TRUE(page.ok());
+  uint64_t fp, inc, vid;
+  int64_t bound;
+  DocValue ckpt;
+  ASSERT_TRUE(
+      DecodePageToken(page->next_token, &fp, &inc, &vid, &bound, &ckpt).ok());
+  EXPECT_EQ(bound, 6);  // page_size + 1
+  // A re-sealed token (valid checksum) whose bound changed: one that
+  // still plans the same walk, one that would plan SORT, and one no
+  // request can produce.
+  for (int64_t forged : {int64_t{7}, int64_t{1000}, int64_t{-1}}) {
+    opts.resume_token = EncodePageToken(fp, inc, vid, forged, ckpt);
+    Status st = FindPage(coll, pred, opts).status();
+    EXPECT_TRUE(st.IsInvalidArgument()) << "bound " << forged << ": "
+                                        << st.ToString();
+    EXPECT_NE(ExplainFind(coll, pred, opts).find("PLAN_MISMATCH"),
+              std::string::npos)
+        << "bound " << forged;
+  }
+  opts.resume_token = EncodePageToken(fp, inc, vid, bound, ckpt);
+  EXPECT_TRUE(FindPage(coll, pred, opts).ok());
 }
 
 TEST(PaginationTest, RandomizedStitchDifferential) {

@@ -11,6 +11,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -139,6 +140,64 @@ TEST(ServerIntegrationTest, ConcurrentClientsPageIdenticallyToInProcess) {
     EXPECT_EQ(stitched[i], baselines[i]) << types[i];
   }
   EXPECT_GE(srv.stats().sessions_accepted, types.size());
+  srv.Stop();
+}
+
+// The connected IPv4 TCP socket this process holds whose local port is
+// `local_port` and whose peer port is `peer_port` (0 matches any); -1
+// when there is none. The server runs in-process, so both ends of a
+// loopback session are found this way.
+int FindConnectedSocket(uint16_t local_port, uint16_t peer_port) {
+  for (int fd = 0; fd < 4096; ++fd) {
+    sockaddr_in local{}, peer{};
+    socklen_t len = sizeof local;
+    if (getsockname(fd, reinterpret_cast<sockaddr*>(&local), &len) != 0 ||
+        local.sin_family != AF_INET) {
+      continue;
+    }
+    len = sizeof peer;
+    if (getpeername(fd, reinterpret_cast<sockaddr*>(&peer), &len) != 0) {
+      continue;  // a listener, or not connected
+    }
+    if (local_port != 0 && ntohs(local.sin_port) != local_port) continue;
+    if (peer_port != 0 && ntohs(peer.sin_port) != peer_port) continue;
+    return fd;
+  }
+  return -1;
+}
+
+TEST(ServerIntegrationTest, BothEndsOfASessionDisableNagle) {
+  fusion::DataTamer tamer;
+  SharedCorpus().Ingest(&tamer);
+  DtServer srv(&tamer);
+  ASSERT_TRUE(srv.Start().ok());
+  auto cli = DtClient::Connect("127.0.0.1", srv.port());
+  ASSERT_TRUE(cli.ok());
+  // One round trip: once it is answered the server holds the session.
+  QueryRequest req;
+  req.op = QueryOp::kCount;
+  req.collection = "entity";
+  req.group_path = "type";
+  auto r = (*cli)->Call(req);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+
+  const int client_fd = FindConnectedSocket(0, srv.port());
+  ASSERT_GE(client_fd, 0);
+  sockaddr_in client_addr{};
+  socklen_t len = sizeof client_addr;
+  ASSERT_EQ(getsockname(client_fd, reinterpret_cast<sockaddr*>(&client_addr),
+                        &len),
+            0);
+  const int server_fd =
+      FindConnectedSocket(srv.port(), ntohs(client_addr.sin_port));
+  ASSERT_GE(server_fd, 0);
+  for (int fd : {client_fd, server_fd}) {
+    int nodelay = 0;
+    socklen_t optlen = sizeof nodelay;
+    ASSERT_EQ(getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, &optlen), 0);
+    EXPECT_NE(nodelay, 0) << (fd == client_fd ? "client" : "server")
+                          << " end leaves Nagle on";
+  }
   srv.Stop();
 }
 
